@@ -219,7 +219,7 @@ func BenchmarkAblationPlanner(b *testing.B) {
 }
 
 // BenchmarkAblationEOS isolates the AHE overhead: plain oblivious
-// shuffle vs EOS with DGK vs EOS with Paillier, same vector length.
+// shuffle vs EOS with DGK, same vector length.
 func BenchmarkAblationEOS(b *testing.B) {
 	const n, r = 200, 3
 	mod := secretshare.NewModulus(64)
@@ -231,10 +231,6 @@ func BenchmarkAblationEOS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pai, err := ahe.GeneratePaillier(512, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.Run("plain", func(b *testing.B) {
 		src := rng.New(7)
 		for i := 0; i < b.N; i++ {
@@ -242,7 +238,7 @@ func BenchmarkAblationEOS(b *testing.B) {
 				Plain:     secretshare.SplitVector(values, r, mod, src),
 				EncHolder: -1,
 			}
-			if err := oblivious.Run(st, oblivious.Config{Mod: mod, Source: src}); err != nil {
+			if err := oblivious.Run(st, oblivious.Config{Mod: mod, Source: src, Pub: dgk}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -254,7 +250,6 @@ func BenchmarkAblationEOS(b *testing.B) {
 	}{
 		{"eos-dgk", dgk, false},
 		{"eos-dgk-fast", dgk, true}, // the paper's Table III cost model
-		{"eos-paillier", pai, false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			src := rng.New(8)

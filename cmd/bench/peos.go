@@ -4,8 +4,9 @@ package main
 // end — in both deployment shapes so the crypto cost enters the perf
 // trajectory next to the aggregation and service suites:
 //
-//   - in-process: protocol.PEOS.Run (the simulator), with the paper's
-//     per-party cost accounting (transport.Meter bytes).
+//   - in-process: protocol.PEOS.Run (the shufflers as goroutines over
+//     an in-memory mesh), with the paper's per-party cost accounting
+//     (transport.Meter bytes).
 //   - cluster: the role-separated tier of internal/cluster — R real
 //     shuffler nodes + analyzer node over loopback TCP, real framing,
 //     real DGK ciphertext (de)serialization on every hop.

@@ -1,15 +1,14 @@
 // Package ahe implements additively homomorphic encryption (§II-C).
 //
-// Two schemes are provided behind one interface:
-//
-//   - DGK (Damgård–Geisler–Krøigaard), in the full-decryption variant
-//     with plaintext space Z_{2^l} decrypted via Pohlig–Hellman — the
-//     scheme the paper instantiates PEOS with (§VI-A3): "there is a
-//     crucial requirement for the AHE scheme: it should support a
-//     plaintext space of Z_{2^l} ... so that the decrypted result
-//     modulo 2^l looks like other reports."
-//   - Paillier, the classic AHE over Z_n, provided for comparison and
-//     the EOS-overhead ablation benchmark.
+// The scheme is DGK (Damgård–Geisler–Krøigaard), in the
+// full-decryption variant with plaintext space Z_{2^l} decrypted via
+// Pohlig–Hellman — the scheme the paper instantiates PEOS with
+// (§VI-A3): "there is a crucial requirement for the AHE scheme: it
+// should support a plaintext space of Z_{2^l} ... so that the
+// decrypted result modulo 2^l looks like other reports." The
+// PublicKey/PrivateKey interfaces and the optional ScratchOps, Pooler
+// and PoolerN capabilities are what the rest of the module codes
+// against.
 //
 // All arithmetic uses math/big; randomness is crypto/rand. Key
 // generation is probabilistic-prime based, so use small key sizes in
@@ -18,8 +17,7 @@ package ahe
 
 import "math/big"
 
-// Ciphertext is one encrypted value. Both schemes use a single group
-// element (Z_n for DGK, Z_{n^2} for Paillier).
+// Ciphertext is one encrypted value: a single group element of Z_n.
 type Ciphertext struct {
 	v *big.Int
 }
@@ -36,7 +34,7 @@ func (c *Ciphertext) Clone() *Ciphertext { return &Ciphertext{v: new(big.Int).Se
 // PublicKey is the encryptor/evaluator side: users encrypt their last
 // share with it, shufflers homomorphically add and rerandomize.
 type PublicKey interface {
-	// Scheme returns the scheme name ("DGK" or "Paillier").
+	// Scheme returns the scheme name ("DGK").
 	Scheme() string
 	// PlaintextBits returns l: plaintext semantics are Z_{2^l}.
 	PlaintextBits() int
@@ -76,9 +74,8 @@ type Scratch struct {
 // ScratchOps is implemented by public keys whose hot homomorphic
 // operations can run with caller-owned scratch state and an in-place
 // destination — the allocation-flat kernels the worker-pooled
-// oblivious-shuffle loops run on. Keys without it (Paillier) are
-// served by the plain AddPlain/Rerandomize fallback; the results are
-// identical either way, only the allocation profile differs.
+// oblivious-shuffle loops run on. The shuffle engine requires it of
+// every key (internal/oblivious rejects a key without it).
 type ScratchOps interface {
 	PublicKey
 	// NewScratch returns a fresh scratch area for one worker goroutine.

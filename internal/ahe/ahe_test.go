@@ -14,10 +14,6 @@ var (
 	dgkOnce   sync.Once
 	dgkKey    *DGKPrivateKey
 	dgkKeyErr error
-
-	paiOnce sync.Once
-	paiKey  *PaillierPrivateKey
-	paiErr  error
 )
 
 func testDGK(t *testing.T) *DGKPrivateKey {
@@ -29,18 +25,9 @@ func testDGK(t *testing.T) *DGKPrivateKey {
 	return dgkKey
 }
 
-func testPaillier(t *testing.T) *PaillierPrivateKey {
-	t.Helper()
-	paiOnce.Do(func() { paiKey, paiErr = GeneratePaillier(512, 32) })
-	if paiErr != nil {
-		t.Fatalf("GeneratePaillier: %v", paiErr)
-	}
-	return paiKey
-}
-
-// schemes under test, via the common interface.
+// testKeys lists the keys the interface-level tests run against.
 func testKeys(t *testing.T) []PrivateKey {
-	return []PrivateKey{testDGK(t), testPaillier(t)}
+	return []PrivateKey{testDGK(t)}
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -285,15 +272,6 @@ func TestGenerateDGKValidation(t *testing.T) {
 		t.Error("accepted plaintext bits 65")
 	}
 	if _, err := GenerateDGK(128, 32); err == nil {
-		t.Error("accepted tiny key")
-	}
-}
-
-func TestGeneratePaillierValidation(t *testing.T) {
-	if _, err := GeneratePaillier(512, 0); err == nil {
-		t.Error("accepted plaintext bits 0")
-	}
-	if _, err := GeneratePaillier(100, 32); err == nil {
 		t.Error("accepted tiny key")
 	}
 }

@@ -8,25 +8,21 @@ import (
 var (
 	benchOnce sync.Once
 	benchDGK  *DGKPrivateKey
-	benchPai  *PaillierPrivateKey
 )
 
-func benchKeys(b *testing.B) (*DGKPrivateKey, *PaillierPrivateKey) {
+func benchKey(b *testing.B) *DGKPrivateKey {
 	b.Helper()
 	benchOnce.Do(func() {
 		var err error
 		if benchDGK, err = GenerateDGK(1024, 64); err != nil {
 			panic(err)
 		}
-		if benchPai, err = GeneratePaillier(1024, 64); err != nil {
-			panic(err)
-		}
 	})
-	return benchDGK, benchPai
+	return benchDGK
 }
 
 func BenchmarkDGKEncrypt(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := key.Encrypt(uint64(i)); err != nil {
@@ -36,7 +32,7 @@ func BenchmarkDGKEncrypt(b *testing.B) {
 }
 
 func BenchmarkDGKDecrypt(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, err := key.Encrypt(0xdeadbeef)
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +46,7 @@ func BenchmarkDGKDecrypt(b *testing.B) {
 }
 
 func BenchmarkDGKAdd(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c1, _ := key.Encrypt(1)
 	c2, _ := key.Encrypt(2)
 	b.ReportAllocs()
@@ -61,7 +57,7 @@ func BenchmarkDGKAdd(b *testing.B) {
 }
 
 func BenchmarkDGKAddPlain(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, _ := key.Encrypt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +68,7 @@ func BenchmarkDGKAddPlain(b *testing.B) {
 }
 
 func BenchmarkDGKRerandomize(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, _ := key.Encrypt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +89,7 @@ func withNaive(b *testing.B, key *DGKPrivateKey, body func()) {
 }
 
 func BenchmarkDGKEncryptNaive(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	withNaive(b, key, func() {
 		for i := 0; i < b.N; i++ {
 			if _, err := key.Encrypt(uint64(i)); err != nil {
@@ -104,7 +100,7 @@ func BenchmarkDGKEncryptNaive(b *testing.B) {
 }
 
 func BenchmarkDGKDecryptNaive(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, err := key.Encrypt(0xdeadbeef)
 	if err != nil {
 		b.Fatal(err)
@@ -119,7 +115,7 @@ func BenchmarkDGKDecryptNaive(b *testing.B) {
 }
 
 func BenchmarkDGKRerandomizeNaive(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, _ := key.Encrypt(1)
 	withNaive(b, key, func() {
 		for i := 0; i < b.N; i++ {
@@ -135,36 +131,12 @@ func BenchmarkDGKRerandomizeNaive(b *testing.B) {
 // steady state. On a loaded single-core machine it converges to the
 // unpooled table path; spare cores turn h^r into a pool pop.
 func BenchmarkDGKEncryptPooled(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	stop := key.StartRandomizerPool(0)
 	defer stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := key.Encrypt(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPaillierEncrypt(b *testing.B) {
-	_, key := benchKeys(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := key.Encrypt(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPaillierDecrypt(b *testing.B) {
-	_, key := benchKeys(b)
-	c, err := key.Encrypt(0xdeadbeef)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := key.Decrypt(c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -122,8 +122,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	// bit-identical to the in-process reference run.
 	if pn, ok := cfg.Pub.(ahe.PoolerN); ok {
 		c.stopPool = pn.StartRandomizerPoolN(cfg.PoolSize, cfg.PoolRefillers)
-	} else if pl, ok := cfg.Pub.(ahe.Pooler); ok {
-		c.stopPool = pl.StartRandomizerPool(cfg.PoolSize)
 	}
 	for _, addr := range cfg.Topology.Shufflers {
 		conn, err := dialRetry(cfg.Dial, addr, cfg.DialTimeout)

@@ -1,6 +1,6 @@
 // Package cluster runs the PEOS security tier (§VI-A3, Algorithm 1)
 // as real networked roles — the deployable face of the protocol that
-// internal/protocol simulates in process. One collection round spans
+// internal/protocol runs in process. One collection round spans
 // R+1 processes plus the reporting clients:
 //
 //	client    randomize value -> encode to a 64-bit word -> additively

@@ -79,7 +79,7 @@ type ShufflerConfig struct {
 	// chaos-injection hook (faultnet.Network.Dial fits).
 	Dial DialFunc
 	// Workers sets oblivious.Config.Workers for this node's shuffle
-	// passes (DESIGN.md §14): <=1 runs the serial reference path.
+	// passes (DESIGN.md §14): <=1 runs them serially.
 	// Estimates are bit-identical at every setting, so nodes in one
 	// fleet may disagree on it freely.
 	Workers int
@@ -303,8 +303,6 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 	// drains Workers times faster than the serial path refills.
 	if pn, ok := cfg.Pub.(ahe.PoolerN); ok {
 		s.stopPool = pn.StartRandomizerPoolN(ahe.PoolSizeFor(cfg.Workers), 0)
-	} else if pl, ok := cfg.Pub.(ahe.Pooler); ok {
-		s.stopPool = pl.StartRandomizerPool(0)
 	}
 	return s, nil
 }

@@ -14,6 +14,11 @@
 // the server's additively homomorphic key, so even all r shufflers
 // colluding cannot reconstruct the values — yet the shares can still be
 // split, accumulated and permuted, processed under AHE (Figure 2).
+//
+// The protocol has one implementation: RunParty, one shuffler's view
+// of every round. Run executes a whole shuffle in process by running
+// RunParty for each shuffler over an in-memory mesh; internal/cluster
+// runs the same RunParty over TCP between shuffler nodes.
 package oblivious
 
 import (
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/rng"
@@ -32,18 +38,22 @@ import (
 type Config struct {
 	// Mod is the share ring Z_{2^l}.
 	Mod secretshare.Modulus
-	// Source provides the shufflers' randomness.
+	// Source provides the shufflers' randomness. Every shuffler draws
+	// from its own stream: a seeded *rng.Rand is split once per
+	// shuffler, in shuffler order, so seeded runs are reproducible; any
+	// other Source (secretshare.Crypto in production) is shared by the
+	// shufflers behind a mutex.
 	Source secretshare.Source
-	// Pub is the server's AHE key; required iff the state carries an
-	// encrypted vector.
+	// Pub is the server's AHE key. It is required for every state,
+	// since any shuffler can become the ciphertext holder, and it must
+	// implement ahe.ScratchOps.
 	Pub ahe.PublicKey
 	// Meter optionally accounts communication and computation per
-	// shuffler ("shuffler-0", "shuffler-1", ...).
+	// shuffler ("shuffler-0", "shuffler-1", ...): 8 B per plaintext
+	// word, Pub.CiphertextBytes() per ciphertext and 32 B per
+	// permutation seed sent, and each shuffler's wall time minus the
+	// time it spent waiting for its peers.
 	Meter *transport.Meter
-	// Rounds overrides the number of hide-and-seek rounds (0 means the
-	// full C(r, t), the value required for the security guarantee; the
-	// override exists for the ablation benchmarks).
-	Rounds int
 	// SkipRerandomize omits the per-element ciphertext refresh after
 	// each permutation and split. The paper's prototype accounts only
 	// homomorphic additions for the shufflers (Table III); this knob
@@ -51,14 +61,14 @@ type Config struct {
 	// seeing the same ciphertext before and after a round can track
 	// that position, so leave it off outside benchmarks.
 	SkipRerandomize bool
-	// Workers fans the per-element AHE passes (rerandomize, encrypted
-	// split, plaintext fold) out over this many goroutines in
-	// contiguous order-preserving chunks. <= 1 runs serially (the
-	// default and the reference). Every deterministic Source draw
-	// happens in serial element order regardless of Workers, so the
-	// share plaintexts — and therefore the estimates — are
-	// bit-identical to the serial path for a fixed seed; only the
-	// crypto/rand rerandomizer nonces differ (DESIGN.md §14).
+	// Workers fans each shuffler's per-element AHE passes (rerandomize,
+	// encrypted split, plaintext fold) out over this many goroutines in
+	// contiguous order-preserving chunks; <= 1 runs them serially.
+	// Every draw from a shuffler's Source happens in element order
+	// regardless of Workers, so the share plaintexts — and therefore
+	// the estimates — are bit-identical at every setting for a fixed
+	// seed; only the crypto/rand rerandomizer nonces differ (DESIGN.md
+	// §14).
 	Workers int
 }
 
@@ -91,28 +101,6 @@ func (st *State) Len() int {
 	return 0
 }
 
-// Window returns the sub-state over positions [lo, hi) of every share
-// vector — the per-partition slice an analyzer shard reveals in the
-// sharded cluster (internal/cluster PartitionPlan.Cuts). The windows
-// of a partition reveal to exactly the corresponding windows of the
-// full state's reveal, since combining and decrypting are element-wise.
-// The returned state shares backing arrays with st.
-func (st *State) Window(lo, hi int) (*State, error) {
-	if lo < 0 || hi < lo || hi > st.Len() {
-		return nil, fmt.Errorf("oblivious: window [%d, %d) out of range for length %d", lo, hi, st.Len())
-	}
-	w := &State{Plain: make([][]uint64, len(st.Plain)), EncHolder: st.EncHolder}
-	for j, p := range st.Plain {
-		if p != nil {
-			w.Plain[j] = p[lo:hi]
-		}
-	}
-	if st.Enc != nil {
-		w.Enc = st.Enc[lo:hi]
-	}
-	return w, nil
-}
-
 func (st *State) validate(cfg Config) error {
 	r := len(st.Plain)
 	if r < 2 {
@@ -137,11 +125,11 @@ func (st *State) validate(cfg Config) error {
 		if len(st.Enc) != n {
 			return errors.New("oblivious: encrypted vector length mismatch")
 		}
-		if cfg.Pub == nil {
-			return errors.New("oblivious: encrypted state requires an AHE public key")
-		}
 	} else if st.Enc != nil {
 		return errors.New("oblivious: Enc set but EncHolder = -1")
+	}
+	if cfg.Pub == nil {
+		return errors.New("oblivious: Config.Pub is required (any shuffler can become the ciphertext holder)")
 	}
 	if cfg.Source == nil {
 		return errors.New("oblivious: Config.Source is required")
@@ -183,197 +171,97 @@ func Combinations(r, t int) [][]int {
 func shufflerName(j int) string { return fmt.Sprintf("shuffler-%d", j) }
 
 // Run executes the oblivious shuffle (EOS when the state carries an
-// encrypted vector), mutating st in place. On return the share vectors
-// represent the same multiset of values in a permuted order, and (for
-// EOS) EncHolder points at the final ciphertext holder.
+// encrypted vector) in process, mutating st in place. It runs one
+// RunParty per shuffler, each on its own goroutine, over an in-memory
+// mesh — the same per-party round code the networked cluster runs —
+// and writes the parties' outputs back into st. On return the share
+// vectors represent the same multiset of values in a permuted order,
+// and (for EOS) EncHolder points at the final ciphertext holder. If a
+// party fails, the mesh closes so no peer waits for it forever, and
+// Run returns that party's error.
 func Run(st *State, cfg Config) error {
 	if err := st.validate(cfg); err != nil {
 		return err
 	}
-	r := st.NumParties()
-	t := Hiders(r)
-	partitions := Combinations(r, t)
-	rounds := cfg.Rounds
-	if rounds <= 0 || rounds > len(partitions) {
-		rounds = len(partitions)
+	if st.Len() == 0 {
+		return nil
 	}
-	for round := 0; round < rounds; round++ {
-		if err := runRound(st, cfg, partitions[round]); err != nil {
-			return fmt.Errorf("oblivious: round %d: %w", round, err)
+	r := st.NumParties()
+	srcs := partySources(cfg.Source, r)
+	m := newMesh(r, cfg.Meter, cfg.Pub.CiphertextBytes())
+	plain := make([][]uint64, r)
+	enc := make([][]*ahe.Ciphertext, r)
+	var wg sync.WaitGroup
+	for j := 0; j < r; j++ {
+		pcfg := PartyConfig{
+			Index: j, Parties: r, Mod: cfg.Mod, Source: srcs[j], Pub: cfg.Pub,
+			SkipRerandomize: cfg.SkipRerandomize, Workers: cfg.Workers,
+		}
+		port := &meshPort{m: m, me: j}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var inPlain []uint64
+			var inEnc []*ahe.Ciphertext
+			if j == st.EncHolder {
+				inEnc = st.Enc
+			} else {
+				inPlain = st.Plain[j]
+			}
+			start := time.Now()
+			var err error
+			plain[j], enc[j], err = RunParty(pcfg, port, inPlain, inEnc)
+			cfg.Meter.AddCPU(shufflerName(j), time.Since(start)-port.blocked)
+			if err != nil {
+				m.fail(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if m.err != nil {
+		return m.err
+	}
+	st.Plain, st.Enc, st.EncHolder = plain, nil, -1
+	for j, e := range enc {
+		if e != nil {
+			st.Enc, st.EncHolder = e, j
 		}
 	}
 	return nil
 }
 
-// runRound performs one hide-and-seek round with the given hider set.
-func runRound(st *State, cfg Config, hiders []int) error {
-	r := st.NumParties()
-	n := st.Len()
-	t := len(hiders)
-	isHider := make([]bool, r)
-	for _, h := range hiders {
-		isHider[h] = true
+// partySources gives each of the r parties its own randomness: r
+// Split streams of a seeded *rng.Rand, taken in party order, or the
+// shared Source behind a mutex. Parallel draws from one unsynchronized
+// stream would make seeded runs nondeterministic, and production
+// randomness is never replaced by a 64-bit-seeded generator.
+func partySources(src secretshare.Source, r int) []secretshare.Source {
+	out := make([]secretshare.Source, r)
+	if seeded, ok := src.(*rng.Rand); ok {
+		for j := range out {
+			out[j] = seeded.Split()
+		}
+		return out
 	}
+	shared := &lockedSource{src: src}
+	for j := range out {
+		out[j] = shared
+	}
+	return out
+}
 
-	// --- Hide phase: seekers split their vectors among the hiders. ---
-	// acc[h] accumulates hider h's plaintext mass; encAcc is the single
-	// ciphertext vector in flight (held by encAt, a hider index).
-	acc := make([][]uint64, r)
-	for _, h := range hiders {
-		if h == st.EncHolder {
-			acc[h] = make([]uint64, n)
-		} else {
-			acc[h] = append([]uint64(nil), st.Plain[h]...)
-		}
-	}
-	var encAcc []*ahe.Ciphertext
-	encAt := -1
-	if st.EncHolder >= 0 && isHider[st.EncHolder] {
-		encAcc = st.Enc
-		encAt = st.EncHolder
-	}
+// lockedSource serializes draws from a Source shared by concurrent
+// parties.
+type lockedSource struct {
+	mu  sync.Mutex
+	src secretshare.Source
+}
 
-	for s := 0; s < r; s++ {
-		if isHider[s] {
-			continue
-		}
-		if s == st.EncHolder {
-			// Encrypted seeker: t-1 plaintext parts + 1 ciphertext
-			// remainder sent to a random hider, who becomes the
-			// ciphertext holder for this round.
-			target := hiders[rng.New(cfg.Source.Uint64()).Intn(t)]
-			parts, rem, err := splitEncrypted(st.Enc, t, cfg)
-			if err != nil {
-				return err
-			}
-			pi := 0
-			for _, h := range hiders {
-				if h == target {
-					continue
-				}
-				addInto(acc[h], parts[pi], cfg.Mod)
-				cfg.Meter.Send(shufflerName(s), shufflerName(h), 8*n)
-				pi++
-			}
-			encAcc = rem
-			encAt = target
-			cfg.Meter.Send(shufflerName(s), shufflerName(target), cfg.Pub.CiphertextBytes()*n)
-			continue
-		}
-		// Plain seeker: t plaintext parts.
-		parts := splitPlain(st.Plain[s], t, cfg)
-		for i, h := range hiders {
-			addInto(acc[h], parts[i], cfg.Mod)
-			cfg.Meter.Send(shufflerName(s), shufflerName(h), 8*n)
-		}
-	}
-
-	// The ciphertext hider also accumulated plaintext mass from the
-	// seekers; fold it into the ciphertext vector (AHE AddPlain) so it
-	// holds exactly one vector — the Figure 2 "Hide" column.
-	if encAt >= 0 {
-		var err error
-		cfg.Meter.Track(shufflerName(encAt), func() {
-			err = addPlainAll(encAcc, acc[encAt], cfg.Mod, cfg.Pub, cfg.Workers)
-		})
-		if err != nil {
-			return err
-		}
-		acc[encAt] = nil
-	}
-
-	// --- Shuffle phase: hiders apply an agreed permutation. ---
-	// The first hider samples it and the others learn it via a shared
-	// seed (32 bytes on the wire).
-	seed := cfg.Source.Uint64()
-	perm := rng.New(seed).Perm(n)
-	for _, h := range hiders[1:] {
-		cfg.Meter.Send(shufflerName(hiders[0]), shufflerName(h), 32)
-	}
-	for _, h := range hiders {
-		if acc[h] == nil {
-			continue // ciphertext hider, permuted below
-		}
-		cfg.Meter.Track(shufflerName(h), func() {
-			acc[h] = applyPermUint64(acc[h], perm)
-		})
-	}
-	if encAt >= 0 {
-		var err error
-		cfg.Meter.Track(shufflerName(encAt), func() {
-			encAcc = applyPermCipher(encAcc, perm)
-			// Refresh ciphertexts so positions are unlinkable across
-			// the permutation.
-			if !cfg.SkipRerandomize {
-				err = rerandomizeAll(encAcc, cfg.Pub, cfg.Workers)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	// --- Reshare phase: each hider splits its vector to all parties. ---
-	newPlain := make([][]uint64, r)
-	for j := 0; j < r; j++ {
-		newPlain[j] = make([]uint64, n)
-	}
-	var newEnc []*ahe.Ciphertext
-	newEncHolder := -1
-	for _, h := range hiders {
-		if h == encAt {
-			continue // handled below
-		}
-		parts := splitPlain(acc[h], r, cfg)
-		for j := 0; j < r; j++ {
-			addInto(newPlain[j], parts[j], cfg.Mod)
-			if j != h {
-				cfg.Meter.Send(shufflerName(h), shufflerName(j), 8*n)
-			}
-		}
-	}
-	if encAt >= 0 {
-		// Ciphertext hider: r-1 plaintext parts + ciphertext remainder
-		// to a random party.
-		target := rng.New(cfg.Source.Uint64() ^ 0x5bd1e995).Intn(r)
-		parts, rem, err := splitEncrypted(encAcc, r, cfg)
-		if err != nil {
-			return err
-		}
-		pi := 0
-		for j := 0; j < r; j++ {
-			if j == target {
-				continue
-			}
-			addInto(newPlain[j], parts[pi], cfg.Mod)
-			if j != encAt {
-				cfg.Meter.Send(shufflerName(encAt), shufflerName(j), 8*n)
-			}
-			pi++
-		}
-		newEnc = rem
-		newEncHolder = target
-		if target != encAt {
-			cfg.Meter.Send(shufflerName(encAt), shufflerName(target), cfg.Pub.CiphertextBytes()*n)
-		}
-	}
-
-	// Fold the new ciphertext holder's plaintext reshare pieces into
-	// the ciphertext vector so each party holds exactly one vector.
-	if newEncHolder >= 0 {
-		var err error
-		cfg.Meter.Track(shufflerName(newEncHolder), func() {
-			err = addPlainAll(newEnc, newPlain[newEncHolder], cfg.Mod, cfg.Pub, cfg.Workers)
-		})
-		if err != nil {
-			return err
-		}
-		newPlain[newEncHolder] = nil
-	}
-	st.Plain = newPlain
-	st.Enc = newEnc
-	st.EncHolder = newEncHolder
-	return nil
+// Uint64 implements secretshare.Source.
+func (s *lockedSource) Uint64() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Uint64()
 }
 
 // splitPlain additively splits vec into k share vectors.
@@ -396,8 +284,8 @@ func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64,
 	for i := range parts {
 		parts[i] = make([]uint64, n)
 	}
-	// Stage A: draw all shares and the per-element correction, in the
-	// exact order the serial engine draws them.
+	// Stage A: draw all shares and the per-element correction in
+	// element order, before any worker starts.
 	negSum := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		var sum uint64
@@ -411,33 +299,18 @@ func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64,
 	// Stage B: subtract and rerandomize, chunked across the workers.
 	rem = make([]*ahe.Ciphertext, n)
 	copy(rem, enc)
-	so, _ := cfg.Pub.(ahe.ScratchOps)
+	so := cfg.Pub.(ahe.ScratchOps)
 	err = parFor(n, cfg.Workers, func(_, lo, hi int) error {
-		if so != nil {
-			sc := so.NewScratch()
-			for i := lo; i < hi; i++ {
-				if err := so.AddPlainInto(rem[i], rem[i], negSum[i], sc); err != nil {
-					return err
-				}
-				if !cfg.SkipRerandomize {
-					if err := so.RerandomizeInto(rem[i], rem[i], sc); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
+		sc := so.NewScratch()
 		for i := lo; i < hi; i++ {
-			c, err := cfg.Pub.AddPlain(rem[i], negSum[i])
-			if err != nil {
+			if err := so.AddPlainInto(rem[i], rem[i], negSum[i], sc); err != nil {
 				return err
 			}
 			if !cfg.SkipRerandomize {
-				if c, err = cfg.Pub.Rerandomize(c); err != nil {
+				if err := so.RerandomizeInto(rem[i], rem[i], sc); err != nil {
 					return err
 				}
 			}
-			rem[i] = c
 		}
 		return nil
 	})
@@ -456,52 +329,32 @@ func addInto(dst, src []uint64, mod secretshare.Modulus) {
 // addPlainAll folds a plaintext vector into a ciphertext vector,
 // reducing each addend into the share ring first. The fold is
 // deterministic given its inputs, so the worker fan-out is a pure
-// latency win; with a ScratchOps key the ciphertexts are updated in
-// place through per-worker scratch.
+// latency win; the ciphertexts are updated in place through
+// per-worker scratch.
 func addPlainAll(enc []*ahe.Ciphertext, plain []uint64, mod secretshare.Modulus, pub ahe.PublicKey, workers int) error {
-	so, _ := pub.(ahe.ScratchOps)
+	so := pub.(ahe.ScratchOps)
 	return parFor(len(enc), workers, func(_, lo, hi int) error {
-		if so != nil {
-			sc := so.NewScratch()
-			for i := lo; i < hi; i++ {
-				if err := so.AddPlainInto(enc[i], enc[i], mod.Reduce(plain[i]), sc); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		sc := so.NewScratch()
 		for i := lo; i < hi; i++ {
-			c, err := pub.AddPlain(enc[i], mod.Reduce(plain[i]))
-			if err != nil {
+			if err := so.AddPlainInto(enc[i], enc[i], mod.Reduce(plain[i]), sc); err != nil {
 				return err
 			}
-			enc[i] = c
 		}
 		return nil
 	})
 }
 
-// rerandomizeAll refreshes every ciphertext. Its randomness is all
-// crypto/rand (pool or inline), so chunk order across workers cannot
-// influence any plaintext.
+// rerandomizeAll refreshes every ciphertext in place. Its randomness is
+// all crypto/rand (pool or inline), so chunk order across workers
+// cannot influence any plaintext.
 func rerandomizeAll(enc []*ahe.Ciphertext, pub ahe.PublicKey, workers int) error {
-	so, _ := pub.(ahe.ScratchOps)
+	so := pub.(ahe.ScratchOps)
 	return parFor(len(enc), workers, func(_, lo, hi int) error {
-		if so != nil {
-			sc := so.NewScratch()
-			for i := lo; i < hi; i++ {
-				if err := so.RerandomizeInto(enc[i], enc[i], sc); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		sc := so.NewScratch()
 		for i := lo; i < hi; i++ {
-			c, err := pub.Rerandomize(enc[i])
-			if err != nil {
+			if err := so.RerandomizeInto(enc[i], enc[i], sc); err != nil {
 				return err
 			}
-			enc[i] = c
 		}
 		return nil
 	})
@@ -552,49 +405,18 @@ func RevealParallel(st *State, mod secretshare.Modulus, priv ahe.PrivateKey, wor
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, c := range st.Enc {
-			m, err := priv.Decrypt(c)
+	err := parFor(n, workers, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			m, err := priv.Decrypt(st.Enc[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out[i] = mod.Add(out[i], m)
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				m, err := priv.Decrypt(st.Enc[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = mod.Add(out[i], m)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

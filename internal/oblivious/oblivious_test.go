@@ -69,6 +69,7 @@ func sortedCopy(xs []uint64) []uint64 {
 }
 
 func TestPlainShufflePreservesMultiset(t *testing.T) {
+	pub := dgk(t).DGKPublicKey
 	mod := secretshare.NewModulus(32)
 	src := rng.New(1)
 	for _, r := range []int{2, 3, 5} {
@@ -77,7 +78,7 @@ func TestPlainShufflePreservesMultiset(t *testing.T) {
 			values[i] = uint64(i * i % 1009)
 		}
 		st := makeSharedState(values, r, mod, src)
-		if err := Run(st, Config{Mod: mod, Source: src}); err != nil {
+		if err := Run(st, Config{Mod: mod, Source: src, Pub: pub}); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 		out, err := Reveal(st, mod, nil)
@@ -95,6 +96,7 @@ func TestPlainShufflePreservesMultiset(t *testing.T) {
 }
 
 func TestPlainShuffleActuallyPermutes(t *testing.T) {
+	pub := dgk(t).DGKPublicKey
 	mod := secretshare.NewModulus(32)
 	src := rng.New(2)
 	values := make([]uint64, 500)
@@ -102,7 +104,7 @@ func TestPlainShuffleActuallyPermutes(t *testing.T) {
 		values[i] = uint64(i)
 	}
 	st := makeSharedState(values, 3, mod, src)
-	if err := Run(st, Config{Mod: mod, Source: src}); err != nil {
+	if err := Run(st, Config{Mod: mod, Source: src, Pub: pub}); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := Reveal(st, mod, nil)
@@ -185,45 +187,6 @@ func TestEOSPreservesMultisetAndHidesHolder(t *testing.T) {
 	}
 }
 
-func TestEOSWithPaillier(t *testing.T) {
-	key, err := ahe.GeneratePaillier(512, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := secretshare.NewModulus(32)
-	src := rng.New(4)
-	const r, n = 3, 15
-	values := make([]uint64, n)
-	for i := range values {
-		values[i] = uint64(i + 7)
-	}
-	shares := secretshare.SplitVector(values, r, mod, src)
-	enc := make([]*ahe.Ciphertext, n)
-	for i, s := range shares[0] {
-		c, err := key.Encrypt(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc[i] = c
-	}
-	shares[0] = nil
-	st := &State{Plain: shares, Enc: enc, EncHolder: 0}
-	if err := Run(st, Config{Mod: mod, Source: src, Pub: key.PaillierPublicKey}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Reveal(st, mod, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSorted := sortedCopy(values)
-	gotSorted := sortedCopy(out)
-	for i := range wantSorted {
-		if gotSorted[i] != wantSorted[i] {
-			t.Fatal("Paillier EOS changed the multiset")
-		}
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	mod := secretshare.NewModulus(32)
 	src := rng.New(5)
@@ -272,12 +235,13 @@ func TestRevealRequiresKeyForEncrypted(t *testing.T) {
 }
 
 func TestMeterAccountsCommunication(t *testing.T) {
+	pub := dgk(t).DGKPublicKey
 	mod := secretshare.NewModulus(32)
 	src := rng.New(6)
 	var meter transport.Meter
 	values := make([]uint64, 100)
 	st := makeSharedState(values, 3, mod, src)
-	if err := Run(st, Config{Mod: mod, Source: src, Meter: &meter}); err != nil {
+	if err := Run(st, Config{Mod: mod, Source: src, Pub: pub, Meter: &meter}); err != nil {
 		t.Fatal(err)
 	}
 	total := int64(0)
@@ -443,28 +407,6 @@ func TestRevealParallelDecryptErrorPropagates(t *testing.T) {
 			if _, err := RevealParallel(st, mod, fk, workers); err != wantErr {
 				t.Fatalf("workers=%d failAt=%d: got %v, want the injected error", workers, failAt, err)
 			}
-		}
-	}
-}
-
-func TestRoundsOverride(t *testing.T) {
-	mod := secretshare.NewModulus(32)
-	src := rng.New(7)
-	values := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	st := makeSharedState(values, 5, mod, src)
-	// One round only (ablation mode) — multiset must still hold.
-	if err := Run(st, Config{Mod: mod, Source: src, Rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := Reveal(st, mod, nil)
-	if len(out) != len(values) {
-		t.Fatal("length changed")
-	}
-	got := sortedCopy(out)
-	want := sortedCopy(values)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("multiset changed with Rounds=1")
 		}
 	}
 }

@@ -4,8 +4,8 @@ package oblivious
 // The three ciphertext passes of a hide-and-seek round —
 // rerandomizeAll, addPlainAll, and stage B of splitEncrypted — fan out
 // over Config.Workers goroutines in contiguous, order-preserving
-// chunks, the same decomposition RevealParallel already uses for the
-// server's decrypt phase. Determinism is preserved by construction:
+// chunks; RevealParallel fans the server's decrypt phase out the same
+// way. Determinism is preserved by construction:
 // every draw from the deterministic Source happens on the caller's
 // goroutine in serial element order before any worker starts, so the
 // only randomness inside a worker is crypto/rand (rerandomizer

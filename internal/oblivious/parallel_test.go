@@ -2,7 +2,7 @@ package oblivious
 
 // Tests for the worker-pooled, chunk-streamed EOS paths (DESIGN.md
 // §14): parFor's chunking and error discipline, the bit-identity of
-// the parallel simulator against the serial reference, the chunked
+// Run with worker-pooled parties against one-worker parties, the chunked
 // distributed engine against the unchunked one, and the stream
 // reassembly edge cases of recvVector. CI runs the cluster-level
 // conformance gate under -race; these pin the engine-level invariants.
@@ -94,11 +94,11 @@ func buildEncState(t *testing.T, values []uint64, r int, mod secretshare.Modulus
 	return st
 }
 
-// TestRunParallelMatchesSerial is the simulator-level bit-identity
-// claim of Config.Workers: for a fixed seed, the parallel engine's
-// plaintext shares, holder choice, and revealed (ordered) output are
-// identical to the serial engine's — only the ciphertext group
-// elements differ, and those never reach a plaintext.
+// TestRunParallelMatchesSerial is the Run-level bit-identity claim of
+// Config.Workers: for a fixed seed, the plaintext shares, holder
+// choice, and revealed (ordered) output with Workers=4 are identical
+// to those with serial passes — only the ciphertext group elements
+// differ, and those never reach a plaintext.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	const (
 		r    = 3

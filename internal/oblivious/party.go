@@ -1,14 +1,12 @@
 package oblivious
 
-// Distributed party engine: the same hide-and-seek EOS as Run, but
-// executed from the perspective of ONE shuffler exchanging messages
-// with its peers instead of a simulator mutating the joint state. The
-// round schedule (Hiders, Combinations) and the share arithmetic are
-// shared with the in-process simulator, so the two express one
-// protocol; what RunParty adds is the message discipline — who sends
-// what to whom in each phase, and in which order a party may block on
-// its peers. internal/cluster runs R of these engines over real TCP
-// connections to form the networked PEOS shuffler tier.
+// The party engine: the hide-and-seek EOS executed from the
+// perspective of ONE shuffler exchanging messages with its peers —
+// who sends what to whom in each phase, and in which order a party may
+// block on its peers. It is the only implementation of a round: Run
+// executes R of these engines over the in-memory mesh, and
+// internal/cluster executes them over real TCP connections to form the
+// networked PEOS shuffler tier.
 //
 // Per round (hider set H, |H| = t, seekers S = [r] \ H):
 //
@@ -117,7 +115,7 @@ const (
 // before the next phase is announced.
 type Phaser interface {
 	// Phase announces that the engine is entering the given phase of
-	// the given round (round == Rounds and PhaseDone at the end).
+	// the given round (round == the round count and PhaseDone at the end).
 	Phase(round int, phase Phase)
 }
 
@@ -138,21 +136,17 @@ type PartyConfig struct {
 	Mod secretshare.Modulus
 	// Source is this party's own randomness (its share splits, its
 	// permutation seeds when it leads a round, its holder choices).
-	// Unlike the simulator's single joint source, every party draws
-	// only from its own.
 	Source secretshare.Source
 	// Pub is the server's AHE key. Every party needs it: any party can
-	// become the ciphertext holder through resharing.
+	// become the ciphertext holder through resharing. It must implement
+	// ahe.ScratchOps, the in-place kernels the ciphertext passes run on.
 	Pub ahe.PublicKey
 	// SkipRerandomize reproduces the paper's Table III cost model (see
 	// Config.SkipRerandomize for the caveat).
 	SkipRerandomize bool
-	// Rounds overrides the number of hide-and-seek rounds (0 means the
-	// full C(r, t) schedule, required for the security guarantee).
-	Rounds int
 	// Workers fans this party's per-element AHE passes out over
-	// goroutine chunks (see Config.Workers; <= 1 is the serial
-	// reference, bit-identical estimates either way).
+	// goroutine chunks (see Config.Workers; <= 1 runs them serially,
+	// with bit-identical shares either way).
 	Workers int
 	// ChunkWords, when > 0, streams the hide/reshare vectors in
 	// windows of this many elements: the AHE work on window k+1
@@ -175,6 +169,9 @@ func (cfg PartyConfig) validate(plain []uint64, enc []*ahe.Ciphertext) error {
 	if cfg.Pub == nil {
 		return errors.New("oblivious: PartyConfig.Pub is required (any party can become the ciphertext holder)")
 	}
+	if _, ok := cfg.Pub.(ahe.ScratchOps); !ok {
+		return fmt.Errorf("oblivious: PartyConfig.Pub (%s) does not implement ahe.ScratchOps", cfg.Pub.Scheme())
+	}
 	if plain != nil && enc != nil {
 		return errors.New("oblivious: a party holds a plaintext or a ciphertext vector, not both")
 	}
@@ -196,23 +193,19 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 	r := cfg.Parties
 	t := Hiders(r)
 	partitions := Combinations(r, t)
-	rounds := cfg.Rounds
-	if rounds <= 0 || rounds > len(partitions) {
-		rounds = len(partitions)
-	}
 	n := len(plain)
 	if enc != nil {
 		n = len(enc)
 	}
 	icfg := Config{Mod: cfg.Mod, Source: cfg.Source, Pub: cfg.Pub, SkipRerandomize: cfg.SkipRerandomize, Workers: cfg.Workers}
-	for round := 0; round < rounds; round++ {
+	for round, hiders := range partitions {
 		var err error
-		plain, enc, err = runPartyRound(cfg, icfg, tr, round, partitions[round], n, plain, enc)
+		plain, enc, err = runPartyRound(cfg, icfg, tr, round, hiders, n, plain, enc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("oblivious: party %d round %d: %w", cfg.Index, round, err)
 		}
 	}
-	announce(tr, rounds, PhaseDone)
+	announce(tr, len(partitions), PhaseDone)
 	return plain, enc, nil
 }
 
@@ -540,9 +533,9 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 		} else {
 			target := rng.New(cfg.Source.Uint64() ^ 0x5bd1e995).Intn(r)
 			keep = make([]uint64, n)
-			// parts[pi] walks the non-target parties in index order,
-			// mirroring the simulator's distribution; each window's
-			// sends go out while the next window computes.
+			// parts[pi] walks the non-target parties in index order;
+			// each window's sends go out while the next window
+			// computes.
 			sendErr = streamSplitEncrypted(encAcc, r, cfg.ChunkWords, icfg, func(lo int, parts [][]uint64, rem []*ahe.Ciphertext, more bool) error {
 				pi := 0
 				for j := 0; j < r; j++ {
@@ -597,8 +590,7 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 	}
 	// Merge the ciphertext hider's kept pieces (written by the pipeline
 	// goroutine, published by the sendErr join). Addition commutes mod
-	// 2^l, so folding them after the received parts is bit-identical to
-	// the serial engine's copy-then-accumulate order.
+	// 2^l, so the fold order does not change the shares.
 	if keep != nil {
 		addInto(newPlain, keep, cfg.Mod)
 	}

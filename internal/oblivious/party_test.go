@@ -305,10 +305,10 @@ func (t *phaserTransport) Phase(round int, phase Phase) {
 
 func TestRunPartyAnnouncesPhases(t *testing.T) {
 	const (
-		r      = 3
-		rounds = 2
-		seed   = 31
+		r    = 3
+		seed = 31
 	)
+	rounds := len(Combinations(r, Hiders(r)))
 	pub := ahe.PublicKey(dgk(t))
 	pipes := newPipes(r)
 	mod := secretshare.NewModulus(64)
@@ -326,7 +326,6 @@ func TestRunPartyAnnouncesPhases(t *testing.T) {
 				Mod:     mod,
 				Source:  rng.Substream(seed, uint64(j)),
 				Pub:     pub,
-				Rounds:  rounds,
 			}
 			_, _, errs[j] = RunParty(cfg, trs[j], []uint64{1, 2, 3}, nil)
 		}(j)

@@ -51,10 +51,10 @@ type PEOS struct {
 	// algorithmic AHE speedups from plain parallelism.
 	DecryptWorkers int
 	// ShuffleWorkers sets oblivious.Config.Workers: the goroutine count
-	// of the simulated shufflers' ciphertext passes (DESIGN.md §14).
-	// <=1 runs the serial reference path. Estimates are bit-identical
-	// at every setting; the randomizer pool is sized to the worker
-	// count so the parallel drain rate never starves it.
+	// of each in-process shuffler's ciphertext passes (DESIGN.md §14);
+	// <=1 runs them serially. Estimates are bit-identical at every
+	// setting; the randomizer pool is sized to the worker count so the
+	// parallel drain rate never starves it.
 	ShuffleWorkers int
 
 	enc *ldp.WordEncoder
@@ -113,8 +113,6 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 	// bit-identical with or without it.
 	if pn, ok := pub.(ahe.PoolerN); ok {
 		defer pn.StartRandomizerPoolN(ahe.PoolSizeFor(p.ShuffleWorkers), 0)()
-	} else if pl, ok := pub.(ahe.Pooler); ok {
-		defer pl.StartRandomizerPool(0)()
 	}
 
 	// --- Users (Algorithm 1, "User i"). ---
