@@ -334,9 +334,9 @@ func BenchmarkAggregateSOLHParallel(b *testing.B) {
 }
 
 // BenchmarkServiceThroughput measures the streaming ingestion tier end
-// to end: concurrent client connections encrypt and frame
-// pre-randomized SOLH reports over net.Pipe, the service batches,
-// shuffles, decrypts, and aggregates, and the run drains to a final
+// to end: concurrent session clients seal batches of pre-randomized
+// SOLH reports over net.Pipe, the service opens, batches, shuffles,
+// decodes, and aggregates them, and the run drains to a final
 // histogram. Reported as reports/s (the deployment-facing number);
 // cmd/bench runs the same workload across client counts and records
 // the curve in BENCH_service.json.
@@ -368,7 +368,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 					if err := svc.Ingest(serverSide); err != nil {
 						b.Fatal(err)
 					}
-					cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+					cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 					if err != nil {
 						b.Fatal(err)
 					}

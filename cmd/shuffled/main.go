@@ -1,17 +1,22 @@
 // Command shuffled runs the shuffle model as a real streaming
 // deployment over TCP loopback (Figure 1 of the paper, §III): the
 // analysis server hosts the internal/service ingestion tier — batch
-// shuffler plus a decrypt/aggregate worker pool — and several
-// concurrent collector gateways stream the users' ECIES-encrypted
-// reports into it. The live estimate is printed from mid-stream
-// Snapshots while ingestion is still running; Drain prints the final
-// histogram and the per-party cost account (transport.Meter).
+// shuffler plus a decode-and-aggregate worker pool — and several
+// concurrent collector gateways stream the users' reports into it,
+// each over one session connection (one ECIES handshake, then
+// AEAD-sealed report batches). The live estimate is printed from
+// mid-stream Snapshots while ingestion is still running; Drain prints
+// the final histogram and the per-party cost account
+// (transport.Meter).
 //
 // The run is continual: the stream is cut into -epochs collection
-// rounds (auto-rotated every n/epochs reports), a budget ledger
+// rounds (auto-rotated every ⌈n/epochs⌉ reports), a budget ledger
 // charges each epoch's (eps, delta) against -total-eps under the
 // chosen -accountant, and the sealed epochs answer sliding-window
-// queries. With -total-eps too small for the epoch count the service
+// queries. SOLH is planned so that an epoch of ⌊n/epochs⌋ reports is
+// (eps, delta)-DP after shuffling, and each sealed epoch prints the
+// epsilon its actual report count realized next to the one charged.
+// With -total-eps too small for the epoch count the service
 // demonstrates budget exhaustion: it seals what the ledger affords and
 // rejects the rest of the stream.
 //
@@ -34,7 +39,7 @@
 //	shuffled [-n users] [-d domain] [-eps epsC] [-seed s] [-clients c] [-batch b]
 //	         [-epochs e] [-total-eps B] [-accountant naive|advanced] [-window k]
 //	         [-data-dir dir] [-fsync always|batch|none]
-//	         [-session=false] [-session-batch r] [-max-frame bytes]
+//	         [-session-batch r] [-max-frame bytes]
 //	shuffled analyzer|shuffler|client [role flags; -h lists them]
 package main
 
@@ -43,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -86,7 +92,6 @@ func main() {
 	window := flag.Int("window", 2, "sliding-window width for the final window query")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
 	fsync := flag.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
-	session := flag.Bool("session", true, "gateways speak the session protocol (one handshake, AEAD-sealed batches); false falls back to per-report ECIES frames")
 	sessionBatch := flag.Int("session-batch", 0, "reports per session frame (0: the service default)")
 	maxFrame := flag.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
 	flag.Parse()
@@ -99,16 +104,13 @@ func main() {
 
 	values := dataset.Synthetic("demo", *n, *d, 1.3, *seed).Values
 
-	// Parameterize SOLH for the per-epoch central budget.
-	m := amplify.BlanketM(*epsC, *n, *delta)
-	dPrime := amplify.OptimalDPrime(m, *d)
-	epsL, err := amplify.LocalEpsilonSOLH(*epsC, dPrime, *n, *delta)
+	plan, err := planEpochs(*n, *d, *epochs, *epsC, *delta)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fo := ldp.NewSOLH(*d, dPrime, epsL)
-	fmt.Printf("SOLH(epsL=%.3f, d'=%d) -> (%.2f, %.0e)-DP per epoch after shuffling\n",
-		epsL, dPrime, *epsC, *delta)
+	fo := ldp.NewSOLH(*d, plan.dPrime, plan.epsL)
+	fmt.Printf("SOLH(epsL=%.3f, d'=%d) -> (%.2f, %.0e)-DP per epoch of %d reports after shuffling\n",
+		plan.epsL, plan.dPrime, *epsC, *delta, plan.reports)
 
 	// The cross-epoch ledger: by default budget exactly -epochs rounds.
 	if *totalEps <= 0 {
@@ -175,19 +177,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wire := "session"
-	if !*session {
-		wire = "legacy per-report ECIES"
-	}
-	fmt.Printf("ingestion service listening on %s (%d gateways, wire=%s, batch=%d, rotate every %d reports)\n",
-		ln.Addr(), *clients, wire, *batch, (*n+*epochs-1)/(*epochs))
+	fmt.Printf("ingestion service listening on %s (%d gateways, batch=%d, rotate every %d reports)\n",
+		ln.Addr(), *clients, *batch, cfg.EpochReports)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- svc.Serve(ln) }()
 
 	// Randomize on the users' side of the ledger. The shard substreams
 	// make the report multiset a pure function of -seed, so the all-time
-	// histogram is bit-identical to netproto.RunPipeline at this seed, no
-	// matter how the gateways interleave or the epochs cut (DESIGN.md §6).
+	// histogram is bit-identical to a direct aggregation of those reports
+	// at this seed, no matter how the gateways interleave or the epochs
+	// cut (DESIGN.md §6).
 	var reports []ldp.Report
 	meter.Track(service.PartyUsers, func() {
 		reports = ldp.RandomizeParallel(fo, values, *seed, 0)
@@ -202,12 +201,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			var cl *service.Client
-			if *session {
-				cl, err = service.NewSessionClient(fo, key.Public(), nil, conn, *sessionBatch)
-			} else {
-				cl, err = service.NewClient(fo, key.Public(), nil, conn)
-			}
+			cl, err := service.NewSessionClient(fo, key.Public(), nil, conn, *sessionBatch)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -259,8 +253,8 @@ func main() {
 	fmt.Println("\nsealed epochs:")
 	hist := svc.History()
 	for _, es := range hist {
-		fmt.Printf("  epoch %d: %6d reports, %4d batches, est[0]=%.4f (charged eps=%.2f)\n",
-			es.Epoch, es.Reports, es.Batches, es.Estimates[0], es.Guarantee.Eps)
+		fmt.Printf("  epoch %d: %6d reports, %4d batches, est[0]=%.4f (charged eps=%.2f, realized eps=%.2f)\n",
+			es.Epoch, es.Reports, es.Batches, es.Estimates[0], es.Guarantee.Eps, plan.realizedEps(es.Reports, *delta))
 	}
 	if svc.Exhausted() {
 		fmt.Printf("budget exhausted: %d reports rejected after the ledger refused epoch %d\n",
@@ -287,4 +281,45 @@ func main() {
 		fmt.Printf("window query: %v\n", err)
 	}
 	fmt.Printf("\nper-party costs:\n%s", meter.String())
+}
+
+// epochPlan is the SOLH parameterization of one collection epoch.
+type epochPlan struct {
+	// reports is the epoch size the plan guarantees: ⌊n/epochs⌋.
+	reports int
+	dPrime  int
+	epsL    float64
+}
+
+// planEpochs sets SOLH's hashed domain and local budget so that an
+// epoch of ⌊n/epochs⌋ shuffled reports is (epsC, delta)-DP. The run
+// rotates every ⌈n/epochs⌉ reports and charges epsC for each sealed
+// epoch, so the plan must hold at the epoch size, not at the whole
+// stream: planned at n, every epoch's realized epsilon grows with
+// roughly the square root of the epoch count.
+func planEpochs(n, d, epochs int, epsC, delta float64) (epochPlan, error) {
+	per := n / epochs
+	if per < 2 {
+		return epochPlan{}, fmt.Errorf("%d users over %d epochs leaves fewer than 2 reports per epoch", n, epochs)
+	}
+	dPrime := amplify.OptimalDPrime(amplify.BlanketM(epsC, per, delta), d)
+	epsL, err := amplify.LocalEpsilonSOLH(epsC, dPrime, per, delta)
+	if err != nil {
+		return epochPlan{}, err
+	}
+	return epochPlan{reports: per, dPrime: dPrime, epsL: epsL}, nil
+}
+
+// realizedEps is the central epsilon an epoch of the given report
+// count actually gets: Theorem 3's bound at that count, and never
+// more than the local budget every report already carries. An empty
+// epoch releases nothing.
+func (p epochPlan) realizedEps(reports int, delta float64) float64 {
+	switch {
+	case reports == 0:
+		return 0
+	case reports < 2:
+		return p.epsL
+	}
+	return math.Min(p.epsL, amplify.CentralEpsilonSOLH(p.epsL, p.dPrime, reports, delta))
 }

@@ -1,15 +1,14 @@
 package ecies
 
 // Per-connection sessions: one ECIES-style handshake on connect, then
-// symmetric AEAD for every report after it. The streaming service's
-// original wire protocol paid a full ECIES (ephemeral P-256 ECDH +
-// HKDF) per report — the §VII SS baseline's cost model — which caps a
-// gateway at a few thousand reports per second. A session does that
-// ECDH exactly once: the client sends an ephemeral-key hello, both
-// sides derive a direction-bound AES-GCM key over a transcript that
-// pins the protocol version and both public keys, and every batched
-// report frame after it costs one AES-GCM seal/open — hardware-speed,
-// zero allocations (see TestSessionNoAllocs).
+// symmetric AEAD for every report after it. A full ECIES (ephemeral
+// P-256 ECDH + HKDF) per report — the §VII SS baseline's cost model —
+// would cap a gateway at a few thousand reports per second. A session
+// does that ECDH exactly once: the client sends an ephemeral-key
+// hello, both sides derive a direction-bound AES-GCM key over a
+// transcript that pins the protocol version and both public keys, and
+// every batched report frame after it costs one AES-GCM seal/open —
+// hardware-speed, zero allocations (see TestSessionNoAllocs).
 //
 // Nonce discipline: the 96-bit GCM nonce is a fixed direction byte
 // followed by a monotonic 64-bit frame counter. Both sides count

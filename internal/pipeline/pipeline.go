@@ -11,7 +11,7 @@
 //	           flush callback sees it, so downstream stages only ever
 //	           observe reports in shuffled order.
 //	aggregate/forward — the stage behind the flush callback: the
-//	           service's decrypt/aggregate worker Pool, or a cluster
+//	           service's decode-and-aggregate worker Pool, or a cluster
 //	           node forwarding share vectors to the next hop.
 //
 // The primitives deliberately carry no protocol knowledge: framing is

@@ -9,16 +9,16 @@ import (
 )
 
 // Codec maps ldp.Reports to and from wire payloads. It extends the
-// 8-byte word encoding of ldp.WordEncoder (GRR, OLH/SOLH, Hadamard —
-// the format netproto has always used) with a packed-bitmap encoding
-// for the unary oracles (RAP, RAP_R, OUE) and a byte-per-location
-// count encoding for AUE, so every frequency oracle in the repo can
-// report through the streaming service.
+// 8-byte word encoding of ldp.WordEncoder (GRR, OLH/SOLH, Hadamard)
+// with a packed-bitmap encoding for the unary oracles (RAP, RAP_R,
+// OUE) and a byte-per-location count encoding for AUE, so every
+// frequency oracle in the repo can report through the streaming
+// service.
 //
 // Unmarshal is strict: a payload either decodes to exactly one valid
 // report of the oracle — one that Aggregator.Add accepts — or errors,
 // and Marshal(Unmarshal(data)) reproduces data byte for byte. The
-// canonical round-trip is what FuzzCodec locks in; a decrypted report
+// canonical round-trip is what FuzzCodec locks in; an opened report
 // that parses ambiguously (wrapped words, set padding bits,
 // out-of-range Hadamard rows) flags the run instead of skewing the
 // histogram or panicking a worker.
@@ -116,7 +116,7 @@ func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
 // Unmarshal reverses Marshal. Payloads of the wrong length, word
 // payloads outside the oracle's report group (which Decode would wrap
 // rather than reject), Hadamard rows past the matrix order, and bitmap
-// payloads with set padding bits are all rejected — a decrypted report
+// payloads with set padding bits are all rejected — an opened report
 // must parse unambiguously or the run is flagged.
 func (c *Codec) Unmarshal(data []byte) (ldp.Report, error) {
 	if c.word != nil {

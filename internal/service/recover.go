@@ -148,24 +148,15 @@ func (s *Service) restore(rec *store.Recovered) error {
 	}
 	for _, r := range rec.Tail {
 		switch r.Type {
-		case store.RecordReport, store.RecordSealedReport:
+		case store.RecordSealedReport:
 			if exhausted || r.Epoch != uint32(cur.id) {
 				return fmt.Errorf("service: WAL report for epoch %d while epoch %d is open", r.Epoch, cur.id)
 			}
-			var pt []byte
-			var err error
-			if r.Type == store.RecordSealedReport {
-				// A session report, re-sealed under the at-rest storage
-				// key (the connection key is gone with the connection).
-				pt, err = s.sealer.Open(nil, r.Payload)
-				if err != nil {
-					return fmt.Errorf("service: opening sealed WAL report: %w", err)
-				}
-			} else {
-				pt, err = ecies.Decrypt(s.cfg.Key, r.Payload)
-				if err != nil {
-					return fmt.Errorf("service: decrypting WAL report: %w", err)
-				}
+			// The report was re-sealed under the at-rest storage key
+			// (the connection key is gone with the connection).
+			pt, err := s.sealer.Open(nil, r.Payload)
+			if err != nil {
+				return fmt.Errorf("service: opening sealed WAL report: %w", err)
 			}
 			rep, err := s.codec.Unmarshal(pt)
 			if err != nil {
@@ -210,6 +201,11 @@ func (s *Service) restore(rec *store.Recovered) error {
 			if r.Next >= 0 {
 				cur = newEpochState(int(r.Next), s.cfg.FO, s.cfg.Workers)
 			}
+		default:
+			// Among them store.RecordReport: a service WAL only ever
+			// holds sealed reports, so anything else is not this
+			// service's log and must not be skipped silently.
+			return fmt.Errorf("service: WAL record type %d is not a service record", r.Type)
 		}
 	}
 	if exhausted {

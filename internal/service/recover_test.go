@@ -89,7 +89,7 @@ func (w *recoveryWorld) send(t *testing.T, svc *service.Service, from, to int) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(w.fo, w.key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +270,10 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sealer, err := ecies.NewStorageSealer(w.key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 300
 	agg := w.fo.NewAggregator()
 	for _, rep := range w.reports[:n] {
@@ -277,11 +281,7 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := ecies.Encrypt(w.key.Public(), payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AppendReport(0, ct); err != nil {
+		if err := st.AppendSealedReport(0, sealer.Seal(nil, payload)); err != nil {
 			t.Fatal(err)
 		}
 		agg.Add(rep)
@@ -322,6 +322,40 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 	}
 }
 
+// A service WAL only ever holds sealed reports. A per-report ECIES
+// record (store.RecordReport) in its tail is not this service's log:
+// Recover must refuse it, never skip it and under-count the epoch.
+func TestRecoverRefusesUnsealedReportRecord(t *testing.T) {
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	codec, err := service.NewCodec(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.Marshal(w.reports[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ecies.Encrypt(w.key.Public(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendReport(0, ct); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch)); err == nil {
+		svc.Close()
+		t.Fatal("Recover accepted a WAL holding an unsealed report record")
+	}
+}
+
 // Budget exhaustion must survive a restart: a recovered service whose
 // ledger ran dry keeps refusing ingestion while staying queryable.
 func TestRecoverExhaustedLedgerStillRefuses(t *testing.T) {
@@ -355,7 +389,7 @@ func TestRecoverExhaustedLedgerStillRefuses(t *testing.T) {
 	if err := svc.Ingest(serverPre); err != nil {
 		t.Fatal(err)
 	}
-	clPre, err := service.NewClient(w.fo, w.key.Public(), nil, clientPre)
+	clPre, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientPre, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

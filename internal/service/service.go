@@ -1,35 +1,31 @@
 // Package service is the concurrent streaming face of the basic
 // shuffle model (Figure 1): a long-running ingestion tier that accepts
 // framed, end-to-end encrypted reports from many client connections at
-// once, batches and shuffles them, and folds the decrypted reports
-// into mergeable per-worker aggregators so the running histogram is
+// once, batches and shuffles them, and folds the decoded reports into
+// mergeable per-worker aggregators so the running histogram is
 // available at any point mid-stream.
 //
 // Pipeline stages, each a bounded queue ahead of it (backpressure
 // propagates from a slow stage back to the clients' writes):
 //
-//	conn readers  --intake-->  shuffler  --batches-->  decrypt  --decoded-->  aggregate
-//	(one per conn,             (batch +                (ECIES or              (shard
-//	 session open)              permute)                decode)                Add)
+//	conn readers  --intake-->  shuffler  --batches-->  decode + aggregate
+//	(one per conn,             (batch +                (unmarshal, shard
+//	 session open)              permute)                Add)
 //
-// # Wire protocols
+// # Wire protocol
 //
-// A connection speaks one of two protocols, decided by its first
-// frame (see readConn). The session protocol — the default client —
-// pays one ECIES-grade handshake (ecies.NewClientSession) when it
-// connects and then streams batches of reports sealed under a
-// per-connection AES-GCM key with a strict monotonic frame counter:
-// per-report crypto cost collapses from an ECDH exchange to a slice
-// of one AEAD open. The legacy protocol encrypts every report
-// individually under full ECIES; it remains fully supported for old
-// clients, and conformance tests pin both protocols to bit-identical
-// estimates. DESIGN.md ("Session wire protocol") specifies the
-// handshake transcript, nonce discipline, and downgrade rules.
+// Every connection speaks the session protocol, and its first frame
+// must be a session hello (see readConn). The hello pays one
+// ECIES-grade handshake (ecies.NewClientSession); the connection then
+// streams batches of reports sealed under a per-connection AES-GCM key
+// with a strict monotonic frame counter, so per-report crypto cost is
+// a slice of one AEAD open. DESIGN.md ("Session wire protocol")
+// specifies the handshake transcript and nonce discipline.
 //
 // The shuffler stage permutes every fixed-size batch before any worker
 // sees it, so the linkage between an arrival (which connection, which
-// position) and a decrypted report is broken batch by batch — the
-// streaming analogue of netproto.Shuffler's collect-all-then-permute.
+// position) and a decoded report is broken batch by batch — the
+// streaming analogue of the paper's collect-all-then-permute shuffler.
 // Note the privacy unit is the batch: an adversarial server observing
 // worker order learns which batch (of BatchSize reports) a report came
 // from, the anonymity-set granularity the deployment chooses with
@@ -90,7 +86,7 @@ const (
 const DefaultBatchSize = 512
 
 // DefaultMaxFrame is the per-connection frame cap when Config.MaxFrame
-// is zero: comfortably above any real hello, report, or batch frame,
+// is zero: comfortably above any real hello or batch frame,
 // far below transport.MaxFrameSize's 1 GiB defensive ceiling — a
 // client claiming more is kicked, not honored.
 const DefaultMaxFrame = 4 << 20
@@ -102,13 +98,11 @@ const DefaultMaxFrame = 4 << 20
 const DefaultClientBatch = 256
 
 // SessionHelloTag is the frame tag of a session hello — the tag a
-// session client stamps on the FIRST frame of a connection. The
-// service decides the connection's protocol by that first frame alone:
-// this tag starts a session handshake, anything else is a legacy
-// per-report ECIES stream (the tag is then the epoch id, and epoch
-// ids count up from zero, far from this magic). A hello tag on any
-// later frame is not special — downgrade or upgrade mid-connection is
-// impossible by construction.
+// client stamps on the FIRST frame of a connection. A first frame
+// carrying any other tag kicks the connection. On later frames the
+// tag is the epoch id the batch asserts (epoch ids count up from zero,
+// far from this magic), so a hello tag there is not special: the
+// handshake happens once per connection, by construction.
 const SessionHelloTag = 0x53445031 // "SDP1"
 
 // rejectedLogCap bounds how many post-exhaustion rejected drops are
@@ -122,19 +116,15 @@ const rejectedLogCap = 1 << 17
 type Config struct {
 	// FO is the frequency oracle every client reports through.
 	FO ldp.FrequencyOracle
-	// Key decrypts the end-to-end encrypted reports (the analysis
-	// server's role).
+	// Key opens the session handshakes and seals reports at rest (the
+	// analysis server's role).
 	Key *ecies.PrivateKey
 	// BatchSize is the number of reports shuffled together before any
-	// worker may decrypt them. 0 means DefaultBatchSize.
+	// worker may decode them. 0 means DefaultBatchSize.
 	BatchSize int
-	// Workers is the aggregate pool size. <1 means GOMAXPROCS.
+	// Workers is the decode-and-aggregate pool size. <1 means
+	// GOMAXPROCS.
 	Workers int
-	// DecryptWorkers sizes the decrypt/decode pool independently from
-	// the aggregate pool: decryption is the expensive stage for legacy
-	// per-report ECIES traffic but near-free for session batches, so
-	// the two stages scale separately. <1 means Workers.
-	DecryptWorkers int
 	// QueueDepth bounds how many shuffled batches may wait for workers
 	// before the shuffler (and transitively the clients) block. 0 means
 	// 2 * Workers.
@@ -176,7 +166,7 @@ type Config struct {
 	WindowRetain int
 
 	// DataDir, when non-empty, makes the service durable: accepted
-	// report frames are write-ahead logged before any worker
+	// reports are write-ahead logged before any worker
 	// aggregates them, and every epoch seal writes a checkpoint, so a
 	// crashed service restarts with Recover to a state bit-identical
 	// to an uninterrupted run (DESIGN.md §8). New requires the
@@ -223,37 +213,26 @@ type Snapshot struct {
 	// (an operator signal, not part of the durable stream accounting).
 	IdleClosed int64
 	// Kicked counts connections dropped for a protocol violation: a
-	// frame past Config.MaxFrame, a malformed session hello, or a
-	// session frame that failed authentication or arrived out of
+	// frame past Config.MaxFrame, a first frame that is not a session
+	// hello, a malformed hello, or a session frame that failed authentication or arrived out of
 	// sequence. Reports the connection delivered before violating
 	// were accepted normally; like IdleClosed the counter is
 	// in-memory only.
 	Kicked int64
 }
 
-// taggedReport is one ciphertext frame with the epoch id its sender
-// asserted.
+// taggedReport is one opened report record (exactly codec.Size()
+// bytes) with the epoch id its batch asserted.
 type taggedReport struct {
 	epoch uint32
-	ct    []byte
+	rec   []byte
 }
 
-// epochBatch is one shuffled batch routed to the epoch that was open
-// when it was flushed. Items are either legacy ECIES ciphertexts
-// (codec.Size() + ecies.Overhead bytes) or already-decrypted session
-// records (exactly codec.Size() bytes); the two lengths can never
-// coincide, so the decrypt stage discriminates by length alone.
+// epochBatch is one shuffled batch of report records routed to the
+// epoch that was open when it was flushed.
 type epochBatch struct {
-	ep  *epochState
-	cts [][]byte
-}
-
-// decodedBatch is one batch past the decrypt/decode stage, headed for
-// an aggregate worker. The reports slice is pool-owned: the aggregate
-// worker returns it after folding.
-type decodedBatch struct {
-	ep      *epochState
-	reports *[]ldp.Report
+	ep   *epochState
+	recs [][]byte
 }
 
 // Service is a running ingestion pipeline. Create with New, feed it
@@ -265,9 +244,8 @@ type Service struct {
 	cfg   Config
 	codec *Codec
 
-	intake  chan taggedReport // report items, readers -> shuffler
-	batches chan epochBatch   // shuffled batches, shuffler -> decrypt pool
-	decoded chan decodedBatch // decoded batches, decrypt pool -> aggregate pool
+	intake  chan taggedReport // report records, readers -> shuffler
+	batches chan epochBatch   // shuffled batches, shuffler -> workers
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -275,16 +253,10 @@ type Service struct {
 
 	conns        sync.WaitGroup // active connection readers
 	shufflerPool pipeline.Pool  // the single batch-shuffler stage goroutine
-	decryptPool  pipeline.Pool  // decrypt/decode stage workers
-	workerPool   pipeline.Pool  // aggregate stage workers
+	workerPool   pipeline.Pool  // decode-and-aggregate stage workers
 
-	// reportsPool recycles the decoded-report slices that flow between
-	// the decrypt and aggregate stages, so steady-state ingestion
-	// allocates per batch, not per report.
-	reportsPool sync.Pool
-
-	// sealer re-encrypts session reports for the WAL (their wire
-	// framing is under a connection-ephemeral key recovery could never
+	// sealer re-encrypts reports for the WAL (their wire framing is
+	// under a connection-ephemeral key recovery could never
 	// re-derive). Nil for an in-memory service.
 	sealer *ecies.StorageSealer
 
@@ -381,16 +353,12 @@ func prepare(cfg Config) (*Service, error) {
 		cfg.BatchSize = DefaultBatchSize
 	}
 	cfg.Workers = ldp.Workers(cfg.Workers)
-	if cfg.DecryptWorkers <= 0 {
-		cfg.DecryptWorkers = cfg.Workers
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Workers
 	}
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
-	batchSize := cfg.BatchSize
 	s := &Service{
 		cfg:   cfg,
 		codec: codec,
@@ -399,17 +367,12 @@ func prepare(cfg Config) (*Service, error) {
 		// backpressure through their connection writes.
 		intake:       make(chan taggedReport, cfg.BatchSize),
 		batches:      make(chan epochBatch, cfg.QueueDepth),
-		decoded:      make(chan decodedBatch, cfg.QueueDepth),
 		stop:         make(chan struct{}),
 		rotateCh:     make(chan rotateReq),
 		rotateHint:   make(chan struct{}, 1),
 		shufflerDone: make(chan struct{}),
 		drainStart:   make(chan struct{}),
 		allTime:      cfg.FO.NewAggregator(),
-	}
-	s.reportsPool.New = func() any {
-		sl := make([]ldp.Report, 0, batchSize)
-		return &sl
 	}
 	return s, nil
 }
@@ -423,14 +386,6 @@ func (s *Service) storeMeta() store.Meta {
 // current epoch.
 func (s *Service) start() {
 	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
-	s.decryptPool.Go(s.cfg.DecryptWorkers, s.runDecryptWorker)
-	// The decoded queue closes exactly when the decrypt stage exits —
-	// on drain (batches closed by the shuffler) and abort (stop) alike
-	// — so the aggregate workers always terminate.
-	go func() {
-		s.decryptPool.Wait()
-		close(s.decoded)
-	}()
 	s.workerPool.Go(s.cfg.Workers, s.runWorker)
 	if s.cfg.EpochReports > 0 {
 		s.rotatorWG.Add(1)
@@ -520,21 +475,22 @@ func (s *Service) forget(conn net.Conn) {
 // the loop ends, but the connection did not fail.
 var errStopIngest = errors.New("service: stopping")
 
-// errKickConn wraps connection-scoped protocol violations — a bad
-// session hello, a session frame failing authentication or sequence,
-// a misaligned batch. The connection is dropped and counted in
+// errKickConn wraps connection-scoped protocol violations — a first
+// frame that is not a valid session hello, a session frame failing
+// authentication or sequence, a misaligned batch. The connection is dropped and counted in
 // Snapshot.Kicked; the service (and every other connection) carries
 // on.
 var errKickConn = errors.New("service: kicking connection")
 
-// enqueue hands one report item to the shuffler, or reports the stop.
-func (s *Service) enqueue(epoch uint32, item []byte) error {
+// enqueue hands one report record to the shuffler, or reports the
+// stop.
+func (s *Service) enqueue(epoch uint32, rec []byte) error {
 	// Post-exhaustion frames flow to the shuffler too: it is the
 	// single goroutine that counts AND write-ahead logs rejected
 	// drops, so the Rejected counter survives a crash like the
 	// others.
 	select {
-	case s.intake <- taggedReport{epoch: epoch, ct: item}:
+	case s.intake <- taggedReport{epoch: epoch, rec: rec}:
 		s.received.Add(1)
 		return nil
 	case <-s.stop:
@@ -547,20 +503,18 @@ func (s *Service) enqueue(epoch uint32, item []byte) error {
 // disconnected (Snapshot.IdleClosed) instead of pinning this goroutine
 // — and Drain's conns.Wait — forever.
 //
-// The first frame decides the connection's protocol. A SessionHelloTag
-// frame performs the session handshake: every later frame is then one
-// AEAD-sealed batch of codec-marshalled reports, opened and split here
-// so the rest of the pipeline sees plain Size()-byte records. Any
-// other first frame is a legacy per-report ECIES stream: each frame is
-// one ciphertext, forwarded as-is for the decrypt stage. Protocol
-// violations (oversized frame, bad hello, failed AEAD, replayed or
-// reordered counter, misaligned batch) kick only this connection.
+// The first frame must be a SessionHelloTag hello, which performs the
+// session handshake; anything else kicks the connection. Every later
+// frame is one AEAD-sealed batch of codec-marshalled reports, opened
+// and split here so the rest of the pipeline sees plain Size()-byte
+// records. Protocol violations (oversized frame, missing or bad hello,
+// failed AEAD, replayed or reordered counter, misaligned batch) kick
+// only this connection.
 func (s *Service) readConn(conn net.Conn) {
 	defer s.conns.Done()
 	defer s.forget(conn)
 	defer conn.Close()
 	var sess *ecies.Session
-	first := true
 	size := s.codec.Size()
 	rd := &pipeline.Reader{
 		Conn:        conn,
@@ -568,28 +522,22 @@ func (s *Service) readConn(conn net.Conn) {
 		MaxFrame:    s.cfg.MaxFrame,
 		Reuse:       true,
 		Handle: func(tag uint32, frame []byte) error {
-			if first {
-				first = false
-				if tag == SessionHelloTag {
-					ns, err := ecies.NewServerSession(s.cfg.Key, frame)
-					if err != nil {
-						return fmt.Errorf("%w: %v", errKickConn, err)
-					}
-					sess = ns
-					return nil
+			if sess == nil {
+				if tag != SessionHelloTag {
+					return fmt.Errorf("%w: first frame (tag %#x) is not a session hello", errKickConn, tag)
 				}
+				ns, err := ecies.NewServerSession(s.cfg.Key, frame)
+				if err != nil {
+					return fmt.Errorf("%w: %v", errKickConn, err)
+				}
+				sess = ns
+				return nil
 			}
 			s.cfg.Meter.Send(PartyUsers, PartyShuffler, len(frame))
-			if sess == nil {
-				// Legacy per-report frame. The reader's buffer is
-				// recycled, and the pipeline retains the ciphertext
-				// until a worker decrypts it, so copy.
-				return s.enqueue(tag, append([]byte(nil), frame...))
-			}
-			// Session batch frame: the tag is the epoch the whole
-			// batch asserts. The plaintext buffer is a fresh
-			// allocation per frame — its records are subslices that
-			// live until aggregation — amortized over the batch.
+			// The tag is the epoch the whole batch asserts. The
+			// plaintext buffer is a fresh allocation per frame — its
+			// records are subslices that live until aggregation —
+			// amortized over the batch.
 			if len(frame) < ecies.SessionOverhead+size {
 				return fmt.Errorf("%w: short session frame (%d bytes)", errKickConn, len(frame))
 			}
@@ -621,7 +569,7 @@ func (s *Service) readConn(conn net.Conn) {
 }
 
 // runShuffler is the batch + shuffle stage: a pipeline.Batcher buffers
-// ciphertexts into BatchSize batches, permutes each, and the flush
+// report records into BatchSize batches, permutes each, and the flush
 // callback forwards it to the worker queue tagged with the open epoch.
 // Rotation requests land here — between batches, never inside one — so
 // every batch belongs to exactly one epoch and each epoch's
@@ -655,12 +603,12 @@ func (s *Service) runShuffler() {
 				}
 			}
 			n := 0
-			for _, ct := range batch {
-				n += len(ct)
+			for _, rec := range batch {
+				n += len(rec)
 			}
 			cur.pending.Add(1)
 			select {
-			case s.batches <- epochBatch{ep: cur, cts: batch}:
+			case s.batches <- epochBatch{ep: cur, recs: batch}:
 				s.shuffled.Add(1)
 				cur.batches.Add(1)
 				s.wal.batches++
@@ -673,7 +621,6 @@ func (s *Service) runShuffler() {
 	if cur != nil {
 		batcher.SetRand(s.shufflerEpochRNG(cur.id))
 	}
-	recordSize := s.codec.Size()
 	var sealBuf []byte
 	accept := func(tr taggedReport) {
 		// Dropped frames move out of Received into exactly one of the
@@ -717,25 +664,19 @@ func (s *Service) runShuffler() {
 			return
 		}
 		if s.st != nil {
-			if len(tr.ct) == recordSize {
-				// A session report: its wire frame was sealed under a
-				// connection-ephemeral key recovery could never re-derive,
-				// so re-seal the record under the at-rest storage key
-				// before logging — the WAL still never holds plaintext
-				// reports. The scratch is safe to reuse: the store's
-				// record encoder copies the payload.
-				sealBuf = s.sealer.Seal(sealBuf[:0], tr.ct)
-				if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
-					s.fail(err)
-				}
-			} else {
-				if err := s.st.AppendReport(uint32(cur.id), tr.ct); err != nil {
-					s.fail(err)
-				}
+			// The record's wire frame was sealed under a
+			// connection-ephemeral key recovery could never re-derive,
+			// so re-seal it under the at-rest storage key before
+			// logging — the WAL never holds plaintext reports. The
+			// scratch is safe to reuse: the store's record encoder
+			// copies the payload.
+			sealBuf = s.sealer.Seal(sealBuf[:0], tr.rec)
+			if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
+				s.fail(err)
 			}
 			s.wal.received++
 		}
-		batcher.Add(tr.ct)
+		batcher.Add(tr.rec)
 		accepted := cur.accepted.Add(1)
 		if s.cfg.EpochReports > 0 && accepted == int64(s.cfg.EpochReports) {
 			select {
@@ -807,64 +748,31 @@ func (s *Service) runShuffler() {
 	}
 }
 
-// runDecryptWorker is the decrypt/decode stage: each batch item is
-// either a legacy ECIES ciphertext (decrypted into a reused scratch)
-// or an already-open session record (codec.Size() bytes exactly — the
-// two lengths can never coincide), decoded either way into a
-// pool-recycled report slice headed for the aggregate stage. Corrupt
-// reports are dropped and surfaced as the service error rather than
-// silently mis-estimating.
-func (s *Service) runDecryptWorker(int) {
-	size := s.codec.Size()
-	var ptBuf []byte
+// runWorker is the decode-and-aggregate stage: it unmarshals each
+// record of a shuffled batch and folds it into the batch's epoch shard
+// owned by this worker. A record that does not decode is dropped and
+// surfaced as the service error rather than silently mis-estimating.
+// Once the service stops, queued batches are dropped unfolded, so
+// Close stays prompt.
+func (s *Service) runWorker(i int) {
 	for eb := range s.batches {
+		if s.stopped() {
+			eb.ep.pending.Done()
+			continue
+		}
 		start := time.Now()
-		rp := s.reportsPool.Get().(*[]ldp.Report)
-		reports := (*rp)[:0]
-		for _, ct := range eb.cts {
-			data := ct
-			if len(ct) != size {
-				pt, err := ecies.DecryptTo(s.cfg.Key, ptBuf[:0], ct)
-				if err != nil {
-					s.fail(fmt.Errorf("service: decrypt report: %w", err))
-					continue
-				}
-				ptBuf, data = pt, pt
-			}
-			// Unmarshal never aliases its input, so the scratch is free
-			// for the next ciphertext.
-			rep, err := s.codec.Unmarshal(data)
+		sh := eb.ep.shards[i]
+		sh.mu.Lock()
+		for _, rec := range eb.recs {
+			rep, err := s.codec.Unmarshal(rec)
 			if err != nil {
 				s.fail(err)
 				continue
 			}
-			reports = append(reports, rep)
-		}
-		*rp = reports
-		s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
-		select {
-		case s.decoded <- decodedBatch{ep: eb.ep, reports: rp}:
-		case <-s.stop:
-			eb.ep.pending.Done()
-			s.reportsPool.Put(rp)
-		}
-	}
-}
-
-// runWorker is the aggregate stage: it folds each decoded batch into
-// the batch's epoch shard owned by this worker and recycles the
-// report slice.
-func (s *Service) runWorker(i int) {
-	for db := range s.decoded {
-		start := time.Now()
-		sh := db.ep.shards[i]
-		sh.mu.Lock()
-		for _, rep := range *db.reports {
 			sh.agg.Add(rep)
 		}
 		sh.mu.Unlock()
-		db.ep.pending.Done()
-		s.reportsPool.Put(db.reports)
+		eb.ep.pending.Done()
 		s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
 	}
 }
@@ -896,7 +804,7 @@ func (s *Service) Snapshot() Snapshot {
 // all-time snapshot — every epoch's reports merged, bit-identical to
 // a sequential pass over the full stream. The returned error is the
 // first failure observed anywhere in the pipeline (a run with a
-// corrupt or undecryptable report is not silently trusted).
+// report that does not decode is not silently trusted).
 func (s *Service) Drain() (Snapshot, error) {
 	s.drainOnce.Do(func() {
 		// Under mu so the flip is atomic with Ingest's check-and-register:

@@ -10,7 +10,6 @@ import (
 
 	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/netproto"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/service"
 	"shuffledp/internal/transport"
@@ -40,7 +39,7 @@ func runConcurrent(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, c
 		if err := svc.Ingest(serverSide); err != nil {
 			t.Fatal(err)
 		}
-		cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+		cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +101,23 @@ func runConcurrent(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, c
 	return snap
 }
 
+// directEstimates is the independent sequential reference: a plain
+// aggregator fed the report multiset directly — no service, no codec,
+// no crypto.
+func directEstimates(fo ldp.FrequencyOracle, reports []ldp.Report) []float64 {
+	agg := fo.NewAggregator()
+	for _, rep := range reports {
+		agg.Add(rep)
+	}
+	return agg.Estimates()
+}
+
 // TestRaceConcurrentClientsBitIdentical is the acceptance test of the
 // streaming tier (run it under -race): ten concurrent clients stream
 // interleaved reports through small shuffle batches and many workers,
 // and the final merged histogram must be bit-identical — every float64
-// exactly equal — to the sequential netproto.RunPipeline reference for
-// the same seed.
+// exactly equal — to a direct sequential aggregation of the same
+// reports.
 func TestRaceConcurrentClientsBitIdentical(t *testing.T) {
 	const (
 		d       = 64
@@ -120,29 +130,8 @@ func TestRaceConcurrentClientsBitIdentical(t *testing.T) {
 		values[i] = (i * i) % d
 	}
 	fo := ldp.NewSOLH(d, 16, 3)
-
-	want, err := netproto.RunPipeline(fo, values, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// RunPipeline itself runs on the service, so it cannot be the only
-	// reference (a defect shared by every client count would cancel
-	// out). Anchor to the independent sequential path: a plain
-	// aggregator fed the same report multiset directly, no service, no
-	// codec, no crypto.
 	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	seqAgg := fo.NewAggregator()
-	for _, rep := range reports {
-		seqAgg.Add(rep)
-	}
-	seq := seqAgg.Estimates()
-	for v := range want {
-		if want[v] != seq[v] {
-			t.Fatalf("RunPipeline estimate[%d] = %v, direct sequential aggregation = %v",
-				v, want[v], seq[v])
-		}
-	}
+	want := directEstimates(fo, reports)
 
 	// The same report multiset, split across concurrent clients;
 	// estimates depend only on the multiset, so the result must match
@@ -160,7 +149,7 @@ func TestRaceConcurrentClientsBitIdentical(t *testing.T) {
 	}
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, sequential pipeline = %v (not bit-identical)",
+			t.Fatalf("estimate[%d] = %v, direct aggregation = %v (not bit-identical)",
 				v, snap.Estimates[v], want[v])
 		}
 	}
@@ -174,11 +163,8 @@ func TestRaceConcurrentClientsBitIdenticalGRR(t *testing.T) {
 		values[i] = i % 5
 	}
 	fo := ldp.NewGRR(d, 2)
-	want, err := netproto.RunPipeline(fo, values, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reports := ldp.RandomizeParallel(fo, values, seed, 0)
+	want := directEstimates(fo, reports)
 	snap := runConcurrent(t, fo, reports, clients, service.Config{
 		BatchSize:   64,
 		ShuffleSeed: seed + 1,
@@ -190,8 +176,8 @@ func TestRaceConcurrentClientsBitIdenticalGRR(t *testing.T) {
 	}
 }
 
-// Unary oracles (here OUE) have no word encoding and could never ride
-// netproto; through the service codec they stream end-to-end.
+// Unary oracles (here OUE) have no word encoding; through the service
+// codec's bitmap format they stream end-to-end.
 func TestServiceStreamsUnaryOracle(t *testing.T) {
 	const d, n, clients = 12, 1500, 4
 	values := make([]int, n)
@@ -205,11 +191,7 @@ func TestServiceStreamsUnaryOracle(t *testing.T) {
 		t.Fatalf("aggregated %d, want %d", snap.Reports, n)
 	}
 	// Must equal the sequential aggregate of the same reports exactly.
-	agg := fo.NewAggregator()
-	for _, rep := range reports {
-		agg.Add(rep)
-	}
-	want := agg.Estimates()
+	want := directEstimates(fo, reports)
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
 			t.Fatalf("estimate[%d] = %v, want %v", v, snap.Estimates[v], want[v])
@@ -249,7 +231,7 @@ func TestServiceOverTCP(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			cl, err := service.NewClient(fo, key.Public(), rng.New(uint64(100+c)), conn)
+			cl, err := service.NewSessionClient(fo, key.Public(), rng.New(uint64(100+c)), conn, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -266,6 +248,10 @@ func TestServiceOverTCP(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	// A batched client can finish while its connection still sits in
+	// the listener backlog (the contract documented on Serve): account
+	// for every report before draining.
+	waitReceived(t, svc, n)
 	snap, err := svc.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +301,11 @@ func TestDrainEmptyService(t *testing.T) {
 	}
 }
 
-// A report encrypted under the wrong key must surface as a drain
-// error, never silently skew the histogram.
-func TestWrongKeyReportSurfacesError(t *testing.T) {
+// A client holding the wrong server key derives a different session
+// key: its first batch fails to open, so the connection is kicked and
+// nothing from it is aggregated — a connection-scoped violation, not
+// a service failure.
+func TestWrongKeyClientKicked(t *testing.T) {
 	fo := ldp.NewGRR(4, 1)
 	key, _ := ecies.GenerateKey()
 	wrong, _ := ecies.GenerateKey()
@@ -330,7 +318,7 @@ func TestWrongKeyReportSurfacesError(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, wrong.Public(), rng.New(1), clientSide)
+	cl, err := service.NewSessionClient(fo, wrong.Public(), rng.New(1), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,15 +327,59 @@ func TestWrongKeyReportSurfacesError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Close(); err != nil {
+	// The server reads the hello and kicks at the batch frame that
+	// follows it in the same write, so the write itself may fail as
+	// the pipe closes.
+	_ = cl.Close()
+	clientSide.Close()
+	waitKicked(t, svc, 1)
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatalf("a kicked connection escalated to a service error: %v", err)
+	}
+	if snap.Kicked != 1 || snap.Reports != 0 || snap.Received != 0 {
+		t.Fatalf("want 1 kick and nothing aggregated, got %+v", snap)
+	}
+}
+
+// A connection must open with a session hello. One whose first frame
+// is anything else — here a per-report ECIES ciphertext asserting the
+// open epoch — is kicked, and nothing from it is aggregated.
+func TestFirstFrameNotHelloKicked(t *testing.T) {
+	fo := ldp.NewGRR(4, 1)
+	key, _ := ecies.GenerateKey()
+	codec, err := service.NewCodec(fo)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Drain()
-	if err == nil {
-		t.Fatal("undecryptable reports did not surface an error")
+	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.Reports != 0 {
-		t.Fatalf("undecryptable reports were aggregated: %d", snap.Reports)
+	defer svc.Close()
+	clientSide, serverSide := net.Pipe()
+	defer clientSide.Close()
+	if err := svc.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.Marshal(ldp.Report{Value: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ecies.Encrypt(key.Public(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteTaggedFrame(clientSide, service.EpochCurrent, ct); err != nil {
+		t.Fatal(err)
+	}
+	waitKicked(t, svc, 1)
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Kicked != 1 || snap.Reports != 0 || snap.Received != 0 {
+		t.Fatalf("want 1 kick and nothing aggregated, got %+v", snap)
 	}
 }
 
@@ -457,7 +489,7 @@ func TestIdleClientDisconnectedAndDrainCompletes(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), rng.New(1), clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), rng.New(1), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +542,7 @@ func TestNoIdleTimeoutKeepsSlowClient(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), rng.New(1), clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), rng.New(1), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

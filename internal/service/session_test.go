@@ -12,18 +12,16 @@ import (
 
 	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/netproto"
 	"shuffledp/internal/service"
 	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
-// runMixedClients pushes pre-randomized reports through a service with
-// one connection per entry of batchSizes: entry 0 means a legacy
-// per-report client, a positive entry means a session client with that
-// batch size. Report i goes to client i%len(batchSizes). Returns the
-// drained snapshot.
-func runMixedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, batchSizes []int, cfg service.Config) service.Snapshot {
+// runBatchedClients pushes pre-randomized reports through a service
+// with one session client per entry of batchSizes, each packing that
+// many reports to a frame. Report i goes to client i%len(batchSizes).
+// Returns the drained snapshot.
+func runBatchedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, batchSizes []int, cfg service.Config) service.Snapshot {
 	t.Helper()
 	key, err := ecies.GenerateKey()
 	if err != nil {
@@ -45,12 +43,7 @@ func runMixedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report,
 		if err := svc.Ingest(serverSide); err != nil {
 			t.Fatal(err)
 		}
-		var cl *service.Client
-		if batchSizes[c] > 0 {
-			cl, err = service.NewSessionClient(fo, key.Public(), nil, clientSide, batchSizes[c])
-		} else {
-			cl, err = service.NewClient(fo, key.Public(), nil, clientSide)
-		}
+		cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, batchSizes[c])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +80,9 @@ func runMixedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report,
 // session wire protocol (run it under -race): concurrent session
 // clients with wildly different batch sizes — including batch 1, so
 // single-report frames and ragged final flushes are all exercised —
-// must produce a histogram bit-identical to both the sequential
-// netproto reference (the legacy wire path) and a direct in-process
-// aggregation of the same report multiset. Batching, the decrypt pool
-// split, and buffer recycling may change how bytes move, never what
-// the estimates are.
+// must produce a histogram bit-identical to a direct in-process
+// aggregation of the same report multiset. Batching and the worker
+// count may change how bytes move, never what the estimates are.
 func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 	const (
 		d    = 64
@@ -103,66 +94,19 @@ func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 		values[i] = (i * i) % d
 	}
 	fo := ldp.NewSOLH(d, 16, 3)
-
-	want, err := netproto.RunPipeline(fo, values, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	seqAgg := fo.NewAggregator()
-	for _, rep := range reports {
-		seqAgg.Add(rep)
-	}
-	seq := seqAgg.Estimates()
-	for v := range want {
-		if want[v] != seq[v] {
-			t.Fatalf("RunPipeline estimate[%d] = %v, direct sequential aggregation = %v", v, want[v], seq[v])
-		}
-	}
+	want := directEstimates(fo, reports)
 
-	snap := runMixedClients(t, fo, reports, []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{
-		BatchSize:      128,
-		ShuffleSeed:    seed + 1,
-		DecryptWorkers: 3,
+	snap := runBatchedClients(t, fo, reports, []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{
+		BatchSize:   128,
+		ShuffleSeed: seed + 1,
+		Workers:     3,
 	})
 	if snap.Reports != n {
 		t.Fatalf("aggregated %d reports, want %d", snap.Reports, n)
 	}
 	if snap.Kicked != 0 {
 		t.Fatalf("conforming session clients were kicked: %d", snap.Kicked)
-	}
-	for v := range want {
-		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, legacy pipeline = %v (not bit-identical)", v, snap.Estimates[v], want[v])
-		}
-	}
-}
-
-// Session and legacy clients must coexist on one service — the first
-// frame of each connection picks its protocol independently — and the
-// merged histogram must still be bit-identical to a direct aggregation
-// of the report multiset. Run under -race.
-func TestRaceSessionLegacyMixedBitIdentical(t *testing.T) {
-	const d, seed = 32, 53
-	n := 4096 + 311
-	values := make([]int, n)
-	for i := range values {
-		values[i] = (i * 5) % d
-	}
-	fo := ldp.NewSOLH(d, 8, 2)
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	agg := fo.NewAggregator()
-	for _, rep := range reports {
-		agg.Add(rep)
-	}
-	want := agg.Estimates()
-
-	snap := runMixedClients(t, fo, reports, []int{0, 8, 0, 64, 1, 0, 256, 33}, service.Config{
-		BatchSize:   64,
-		ShuffleSeed: seed + 1,
-	})
-	if snap.Reports != n {
-		t.Fatalf("aggregated %d reports, want %d", snap.Reports, n)
 	}
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
@@ -223,55 +167,6 @@ func TestClientWriteErrorPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports := ldp.RandomizeParallel(fo, []int{1, 2, 3, 4, 5, 6}, 9, 0)
-
-	t.Run("legacy", func(t *testing.T) {
-		w := &flakyWriter{failAt: 3, partial: 5}
-		cl, err := service.NewClient(fo, key.Public(), nil, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sendErr error
-		sent := 0
-		for _, rep := range reports {
-			if sendErr = cl.SendReport(rep); sendErr != nil {
-				break
-			}
-			sent++
-		}
-		if sendErr == nil || !errors.Is(sendErr, errFlaky) {
-			t.Fatalf("write failure not surfaced: sent %d, err %v", sent, sendErr)
-		}
-		if sent != 3 {
-			t.Fatalf("%d sends succeeded before the failing write, want 3", sent)
-		}
-		// Poisoned: every later call returns the same latched error and
-		// writes nothing more.
-		if err := cl.SendReport(reports[0]); !errors.Is(err, errFlaky) {
-			t.Fatalf("send after write failure: %v, want the latched error", err)
-		}
-		if err := cl.Flush(); !errors.Is(err, errFlaky) {
-			t.Fatalf("flush after write failure: %v, want the latched error", err)
-		}
-		if err := cl.Close(); !errors.Is(err, errFlaky) {
-			t.Fatalf("close after write failure: %v, want the latched error", err)
-		}
-		if len(w.calls) != 3 {
-			t.Fatalf("connection saw %d writes after poisoning, want 3", len(w.calls))
-		}
-		codec, err := service.NewCodec(fo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, call := range w.calls {
-			tags, payloads := parseFrames(t, call)
-			if len(tags) != 1 {
-				t.Fatalf("write %d carries %d frames, want exactly 1", i, len(tags))
-			}
-			if len(payloads[0]) != codec.Size()+ecies.Overhead {
-				t.Fatalf("write %d payload is %d bytes, want one ECIES report (%d)", i, len(payloads[0]), codec.Size()+ecies.Overhead)
-			}
-		}
-	})
 
 	t.Run("session", func(t *testing.T) {
 		w := &flakyWriter{failAt: 0, partial: 10}
@@ -361,6 +256,45 @@ func TestSessionClientFrameLayout(t *testing.T) {
 	}
 }
 
+// The shuffler must not be able to read report contents: no frame a
+// client writes carries the marshalled batch in the clear.
+func TestSessionFramesCarryNoPlaintext(t *testing.T) {
+	fo := ldp.NewGRR(4, 8) // eps=8: every report is almost surely its value
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := service.NewCodec(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &flakyWriter{failAt: 1 << 30}
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := ldp.RandomizeParallel(fo, []int{2, 2, 2, 2}, 33, 0)
+	var plain []byte
+	for _, rep := range reports {
+		if plain, err = codec.AppendMarshal(plain, rep); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SendReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w.calls) != 1 {
+		t.Fatalf("connection saw %d writes, want 1", len(w.calls))
+	}
+	// Any single marshalled report is mostly zero bytes; the sealed
+	// frames must not contain even one of them verbatim.
+	for i := 0; i < len(plain); i += codec.Size() {
+		if bytes.Contains(w.calls[0], plain[i:i+codec.Size()]) {
+			t.Fatalf("report %d appears unencrypted on the wire", i/codec.Size())
+		}
+	}
+}
+
 // waitKicked polls until the service has kicked n connections.
 func waitKicked(t *testing.T, svc *service.Service, n int64) {
 	t.Helper()
@@ -373,14 +307,15 @@ func waitKicked(t *testing.T, svc *service.Service, n int64) {
 	}
 }
 
-// sendLegacy pushes reports through one legacy connection and closes it.
-func sendLegacy(t *testing.T, svc *service.Service, fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp.Report) {
+// sendSession pushes reports through one session connection and
+// closes it.
+func sendSession(t *testing.T, svc *service.Service, fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp.Report, batchSize int) {
 	t.Helper()
 	clientSide, serverSide := net.Pipe()
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, batchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +358,7 @@ func TestServiceKicksOversizedFrame(t *testing.T) {
 	// The rest of the service is unharmed: a conforming client on a new
 	// connection still streams.
 	reports := ldp.RandomizeParallel(fo, []int{1, 2, 3}, 11, 0)
-	sendLegacy(t, svc, fo, key, reports)
+	sendSession(t, svc, fo, key, reports, 0)
 	snap, err := svc.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +403,7 @@ func TestSessionHandshakeViolationsKick(t *testing.T) {
 	}
 
 	reports := ldp.RandomizeParallel(fo, []int{1, 2}, 13, 0)
-	sendLegacy(t, svc, fo, key, reports)
+	sendSession(t, svc, fo, key, reports, 0)
 	snap, err := svc.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -699,8 +634,7 @@ func TestSessionOverTCPServe(t *testing.T) {
 
 // Session reports reach the WAL re-sealed under the at-rest storage
 // key (the connection key dies with the connection), and recovery
-// opens them back into the epoch bit-identically — alongside legacy
-// ECIES records in the same log.
+// opens them back into the epoch bit-identically.
 func TestRecoverSealedSessionReports(t *testing.T) {
 	const d, n = 32, 24
 	fo := ldp.NewSOLH(d, 8, 2)
@@ -722,25 +656,10 @@ func TestRecoverSealedSessionReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 16 reports over a session connection (sealed WAL records), 8 over
-	// a legacy one (ECIES WAL records) — one log, both record types.
-	clientSide, serverSide := net.Pipe()
-	if err := svc.Ingest(serverSide); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reports[:16] {
-		if err := cl.SendReport(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sendLegacy(t, svc, fo, key, reports[16:])
+	// Two connections: the log holds reports that arrived under two
+	// session keys, all re-sealed under the one storage key.
+	sendSession(t, svc, fo, key, reports[:16], 8)
+	sendSession(t, svc, fo, key, reports[16:], 8)
 
 	// Three full shuffle batches forwarded means three WAL commits: all
 	// 24 reports are durable regardless of the crash below.
@@ -764,11 +683,7 @@ func TestRecoverSealedSessionReports(t *testing.T) {
 	if snap.Reports != n || snap.Received != n {
 		t.Fatalf("recovered %d reports (%d received), want %d", snap.Reports, snap.Received, n)
 	}
-	agg := fo.NewAggregator()
-	for _, rep := range reports {
-		agg.Add(rep)
-	}
-	want := agg.Estimates()
+	want := directEstimates(fo, reports)
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
 			t.Fatalf("recovered estimate[%d] = %v, direct aggregation = %v (not bit-identical)", v, snap.Estimates[v], want[v])
